@@ -15,16 +15,11 @@ CompletionCache::CompletionCache(size_t budget_bytes, size_t num_shards)
                         : std::max<size_t>(1, budget_bytes / num_shards)),
       shards_(num_shards == 0 ? 1 : num_shards) {}
 
-std::string CompletionCache::Key(const std::set<std::string>& tables,
-                                 uint64_t epoch) {
+std::string CompletionCache::Key(const std::set<std::string>& tables) {
   std::string key;
   for (const auto& t : tables) {
     key += t;
     key += '|';
-  }
-  if (epoch != 0) {
-    key += '#';
-    key += std::to_string(epoch);
   }
   return key;
 }
@@ -44,23 +39,6 @@ size_t CompletionCache::ApproxTableBytes(const Table& table) {
   return bytes;
 }
 
-void CompletionCache::IndexAdd(const std::set<std::string>& tables,
-                               const std::string& key) {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  for (const auto& t : tables) keys_by_table_[t].insert(key);
-}
-
-void CompletionCache::IndexRemove(const std::set<std::string>& tables,
-                                  const std::string& key) {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  for (const auto& t : tables) {
-    auto it = keys_by_table_.find(t);
-    if (it == keys_by_table_.end()) continue;
-    it->second.erase(key);
-    if (it->second.empty()) keys_by_table_.erase(it);
-  }
-}
-
 void CompletionCache::EvictLocked(Shard* shard, const std::string& keep) {
   if (shard_budget_ == 0) return;
   while (shard->bytes > shard_budget_ && shard->entries.size() > 1) {
@@ -74,133 +52,73 @@ void CompletionCache::EvictLocked(Shard* shard, const std::string& keep) {
       }
     }
     if (victim == shard->entries.end()) break;
-    IndexRemove(victim->second.tables, victim->first);
     shard->bytes -= victim->second.bytes;
     shard->entries.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
+void CompletionCache::DropOlderThan(uint64_t epoch) {
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
+      if (it->second.epoch < epoch) {
+        shard.bytes -= it->second.bytes;
+        it = shard.entries.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+}
+
 void CompletionCache::Put(const std::set<std::string>& tables,
                           std::shared_ptr<const Table> joined,
                           uint64_t epoch) {
-  const std::string key = Key(tables, epoch);
   Entry entry;
-  entry.tables = tables;
   entry.bytes = ApproxTableBytes(*joined);
   // An entry that alone exceeds the shard budget is not worth caching —
   // rejecting it up front (rather than inserting and evicting back down)
   // keeps it from flushing every other entry of its shard first.
   if (shard_budget_ != 0 && entry.bytes > shard_budget_) return;
-  entry.joined = std::move(joined);
-  entry.last_used = clock_.fetch_add(1, std::memory_order_relaxed);
 
+  // Advance the cache to `epoch`, or give up if a newer one is already in.
+  // The Put that advances it sweeps the older generation.
+  uint64_t newest = epoch_.load();
+  while (newest < epoch && !epoch_.compare_exchange_weak(newest, epoch)) {
+  }
+  if (newest > epoch) return;
+  if (newest < epoch) DropOlderThan(epoch);
+
+  entry.joined = std::move(joined);
+  entry.epoch = epoch;
+  entry.last_used = clock_.fetch_add(1, std::memory_order_relaxed);
+  const std::string key = Key(tables);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    shard.bytes -= it->second.bytes;
-    shard.entries.erase(it);  // same key = same table set; index entry stays
-  } else {
-    IndexAdd(tables, key);
-  }
-  shard.bytes += entry.bytes;
-  shard.entries.emplace(key, std::move(entry));
+  // Re-checked under the shard mutex: a sweep for a newer epoch either
+  // advanced epoch_ before this point (so nothing is stored) or takes this
+  // shard's mutex after us (so it drops what we store).
+  if (epoch_.load() != epoch) return;
+  Entry& slot = shard.entries[key];
+  shard.bytes = shard.bytes - slot.bytes + entry.bytes;
+  slot = std::move(entry);
   EvictLocked(&shard, key);
 }
 
 std::shared_ptr<const Table> CompletionCache::GetExact(
     const std::set<std::string>& tables, uint64_t epoch) const {
-  const std::string key = Key(tables, epoch);
+  const std::string key = Key(tables);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
+  if (it == shard.entries.end() || it->second.epoch != epoch) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   it->second.last_used = clock_.fetch_add(1, std::memory_order_relaxed);
   hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second.joined;
-}
-
-std::shared_ptr<const Table> CompletionCache::GetCovering(
-    const std::set<std::string>& tables, uint64_t epoch) const {
-  // Candidate keys come from the per-table index: every covering entry must
-  // contain each query table, so the query table with the fewest cached
-  // entries bounds the scan. The snapshot is taken under index_mu_ alone
-  // (never nested inside a shard mutex — see the lock-order note in the
-  // header), then candidates are verified and fetched shard by shard.
-  std::vector<std::string> candidates;
-  {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    if (tables.empty()) {
-      // Degenerate query: everything covers it; consider all keys.
-      for (const auto& [t, keys] : keys_by_table_) {
-        (void)t;
-        candidates.insert(candidates.end(), keys.begin(), keys.end());
-      }
-    } else {
-      const std::set<std::string>* anchor = nullptr;
-      for (const auto& t : tables) {
-        auto it = keys_by_table_.find(t);
-        if (it == keys_by_table_.end()) {
-          misses_.fetch_add(1, std::memory_order_relaxed);
-          return nullptr;  // some query table is in no cached entry
-        }
-        if (anchor == nullptr || it->second.size() < anchor->size()) {
-          anchor = &it->second;
-        }
-      }
-      candidates.assign(anchor->begin(), anchor->end());
-    }
-  }
-
-  // A key IS its sorted table list plus epoch suffix ("t1|t2|...|#7"):
-  // epoch match, coverage, and entry size are checked on the key alone,
-  // without touching any shard. Keys of other epochs are skipped — stale
-  // generations must never serve a fresh query.
-  const std::string suffix = epoch != 0 ? "#" + std::to_string(epoch) : "";
-  std::vector<std::pair<size_t, std::string>> covering;  // (num_tables, key)
-  for (auto& key : candidates) {
-    if (key.size() <= suffix.size()) continue;
-    const size_t parse_end = key.size() - suffix.size();
-    if (key.compare(parse_end, suffix.size(), suffix) != 0) continue;
-    // Epoch-0 keys end at their last '|'; a '#' before parse_end would mean
-    // the key carries some other epoch.
-    if (key[parse_end - 1] != '|') continue;
-    size_t num_tables = 0;
-    bool covers = true;
-    auto query_it = tables.begin();
-    size_t start = 0;
-    for (size_t i = 0; i < parse_end; ++i) {
-      if (key[i] != '|') continue;
-      ++num_tables;
-      if (query_it != tables.end() &&
-          key.compare(start, i - start, *query_it) == 0) {
-        ++query_it;  // both sides are sorted: one linear merge pass
-      }
-      start = i + 1;
-    }
-    covers = query_it == tables.end();
-    if (covers) covering.emplace_back(num_tables, std::move(key));
-  }
-  std::sort(covering.begin(), covering.end());
-
-  // Smallest covering entry first; an entry evicted since the snapshot is
-  // simply skipped in favour of the next candidate.
-  for (const auto& [num_tables, key] : covering) {
-    (void)num_tables;
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) continue;
-    it->second.last_used = clock_.fetch_add(1, std::memory_order_relaxed);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second.joined;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
 }
 
 size_t CompletionCache::size() const {
@@ -222,18 +140,7 @@ size_t CompletionCache::bytes() const {
 }
 
 void CompletionCache::Clear() {
-  // Unindex each shard's entries under that shard's mutex (the same
-  // shard -> index nesting Put/evict use). A global keys_by_table_.clear()
-  // after the shard loop would race with a concurrent Put into an
-  // already-cleared shard, stranding its entry outside the index forever.
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      IndexRemove(entry.tables, key);
-    }
-    shard.entries.clear();
-    shard.bytes = 0;
-  }
+  DropOlderThan(std::numeric_limits<uint64_t>::max());
 }
 
 }  // namespace restore

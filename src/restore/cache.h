@@ -13,21 +13,32 @@
 
 namespace restore {
 
-/// Cache of completed joins (Section 4.5): data synthesized for one query is
-/// reused by later queries over the same join path, and queries over a
-/// sub-path reuse a superset join by projection.
+/// Cache of completed joins (Section 4.5): an exact memo of each query's own
+/// completion. An entry is stored and looked up under exactly the table set
+/// of the query that produced it, so a hit returns what that query would
+/// have computed without the cache, bit for bit.
+///
+/// Sub-path reuse (answering a query by projecting a cached superset join)
+/// is deliberately not done. A projection of another query's completion
+/// cannot equal the query's own answer: the superset join carries the other
+/// query's fan-out multiplicities and its own sampled tuples. It also makes
+/// answers depend on which queries ran before.
+///
+/// Epochs: every entry carries the epoch of the Db generation it was
+/// completed against, and the cache keeps only the newest epoch it has been
+/// given. A Put at a newer epoch drops every older entry, a Put at an older
+/// epoch stores nothing, and a lookup at any other epoch misses. A hot swap
+/// (ingestion or model refresh) therefore reclaims the dead generation on
+/// the first Put after it, with no budget needed; readers that still hold an
+/// old entry keep it alive through its shared_ptr.
 ///
 /// Thread safety: all operations are safe under concurrent access. Entries
 /// are hash-sharded with one mutex per shard so unrelated lookups do not
-/// contend; hit/miss counters are atomics (the old implementation mutated
-/// `mutable` non-atomic counters from const lookups — a data race under the
-/// concurrent Db facade).
+/// contend; hit/miss counters are atomics.
 ///
 /// Budget: `budget_bytes` bounds the total approximate payload size. On
 /// overflow the least-recently-used entries of the shard are evicted; an
 /// entry larger than a shard's budget is not cached at all. 0 = unbounded.
-/// Lookups return shared_ptr handles, so a result stays valid even if its
-/// entry is evicted while the caller still aggregates over it.
 class CompletionCache {
  public:
   explicit CompletionCache(size_t budget_bytes = 0, size_t num_shards = 8);
@@ -35,12 +46,8 @@ class CompletionCache {
   CompletionCache(const CompletionCache&) = delete;
   CompletionCache& operator=(const CompletionCache&) = delete;
 
-  /// Stores a completed join covering exactly `tables`. `epoch` keys the
-  /// entry to one data/model generation of the owning Db: lookups only see
-  /// entries of their own epoch, so a hot swap (ingestion or model refresh)
-  /// invalidates every stale completion simply by bumping the epoch — old
-  /// entries become unreachable and age out through the LRU budget. The
-  /// default epoch 0 reproduces the frozen-database behavior bit for bit.
+  /// Stores the completed join of a query over exactly `tables` at `epoch`
+  /// (see the class comment for how epochs age entries out).
   void Put(const std::set<std::string>& tables,
            std::shared_ptr<const Table> joined, uint64_t epoch = 0);
   void Put(const std::set<std::string>& tables, Table joined,
@@ -48,18 +55,9 @@ class CompletionCache {
     Put(tables, std::make_shared<const Table>(std::move(joined)), epoch);
   }
 
-  /// Exact hit: a completed join over exactly `tables` at `epoch`, or
-  /// nullptr.
+  /// The completed join stored for exactly `tables` at `epoch`, or nullptr.
   std::shared_ptr<const Table> GetExact(const std::set<std::string>& tables,
                                         uint64_t epoch = 0) const;
-
-  /// Superset hit: the smallest cached join of `epoch` whose table set is a
-  /// superset of `tables` (its projection serves the query), or nullptr.
-  /// Served from a per-table index of entry keys: only entries containing
-  /// the rarest query table are examined — O(candidates in that table), not
-  /// O(all entries).
-  std::shared_ptr<const Table> GetCovering(const std::set<std::string>& tables,
-                                           uint64_t epoch = 0) const;
 
   size_t size() const;
   /// Approximate bytes of all cached payloads.
@@ -70,6 +68,7 @@ class CompletionCache {
     return evictions_.load(std::memory_order_relaxed);
   }
   size_t budget_bytes() const { return budget_bytes_; }
+  /// Drops every entry (counters and the current epoch are kept).
   void Clear();
 
   /// Approximate in-memory payload size of a table (column vectors only).
@@ -77,8 +76,8 @@ class CompletionCache {
 
  private:
   struct Entry {
-    std::set<std::string> tables;
     std::shared_ptr<const Table> joined;
+    uint64_t epoch = 0;
     size_t bytes = 0;
     uint64_t last_used = 0;
   };
@@ -88,36 +87,24 @@ class CompletionCache {
     size_t bytes = 0;
   };
 
-  /// Entry key: the sorted table list "t1|t2|...|", plus "#<epoch>" when
-  /// epoch != 0 (epoch 0 keeps the historical key so frozen databases hash
-  /// to the same shards as before). GetCovering's key parser relies on this
-  /// shape: table names up to the last '|', epoch suffix after it.
-  static std::string Key(const std::set<std::string>& tables, uint64_t epoch);
+  /// Entry key: the sorted table list "t1|t2|...|".
+  static std::string Key(const std::set<std::string>& tables);
   Shard& ShardFor(const std::string& key) const;
   /// Evicts LRU entries of `shard` until it fits its budget slice.
-  /// `keep` is never evicted. Caller holds the shard mutex; evicted entries
-  /// are also removed from the per-table index.
+  /// `keep` is never evicted. Caller holds the shard mutex.
   void EvictLocked(Shard* shard, const std::string& keep);
-
-  /// Per-table index maintenance. Lock order: a shard mutex may be held
-  /// while taking index_mu_ (Put/evict); index_mu_ is NEVER held while
-  /// taking a shard mutex (GetCovering snapshots candidates, releases, then
-  /// probes shards), so the two can't deadlock.
-  void IndexAdd(const std::set<std::string>& tables, const std::string& key);
-  void IndexRemove(const std::set<std::string>& tables,
-                   const std::string& key);
+  /// Drops every entry older than `epoch`, one shard at a time.
+  void DropOlderThan(uint64_t epoch);
 
   const size_t budget_bytes_;
   const size_t shard_budget_;
   mutable std::vector<Shard> shards_;
+  /// The newest epoch any Put has been given.
+  std::atomic<uint64_t> epoch_{0};
   mutable std::atomic<uint64_t> clock_{0};
   mutable std::atomic<size_t> hits_{0};
   mutable std::atomic<size_t> misses_{0};
   mutable std::atomic<size_t> evictions_{0};
-
-  // table name -> keys of the entries whose table set contains it.
-  mutable std::mutex index_mu_;
-  std::map<std::string, std::set<std::string>> keys_by_table_;
 };
 
 }  // namespace restore

@@ -627,68 +627,56 @@ Result<Table> Db::CompleteTable(const std::string& target,
 
 Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
     const std::vector<std::string>& tables, const ExecContext* ctx) {
+  const std::shared_ptr<const EpochPin> pin = PinnedEpoch(ctx);
+  const auto primary =
+      std::find_if(tables.begin(), tables.end(), [this](const std::string& t) {
+        return annotation_.IsIncomplete(t);
+      });
+  // A join of complete tables needs no completion: it is answered from the
+  // snapshot and never touches the cache.
+  if (primary == tables.end()) {
+    RESTORE_ASSIGN_OR_RETURN(Table joined,
+                             NaturalJoinTables(*pin->data, tables, ctx));
+    return std::make_shared<const Table>(std::move(joined));
+  }
+
   // Per-query cache policy: kBypass neither reads nor writes, kReadOnly
   // reads without inserting; both are further gated by the engine-level
-  // enable_cache switch.
+  // enable_cache switch. The cache is an exact memo: the query is looked up
+  // and stored under exactly its own table set at its pinned epoch, so a hit
+  // is bit-identical to recomputing (see CompletionCache).
   const CachePolicy policy =
       ctx != nullptr ? ctx->cache_policy() : CachePolicy::kDefault;
   const bool cache_read =
       config_.enable_cache && policy != CachePolicy::kBypass;
   const bool cache_write =
       config_.enable_cache && policy == CachePolicy::kDefault;
-  ExecStats* stats = ctx != nullptr ? ctx->stats() : nullptr;
-  const auto note_lookup = [stats](bool hit) {
-    if (stats == nullptr) return;
-    if (hit) {
-      ++stats->cache_hits;
-    } else {
-      ++stats->cache_misses;
+  const std::set<std::string> key(tables.begin(), tables.end());
+  if (cache_read) {
+    std::shared_ptr<const Table> cached = cache_.GetExact(key, pin->epoch);
+    if (ExecStats* stats = ctx != nullptr ? ctx->stats() : nullptr) {
+      ++(cached != nullptr ? stats->cache_hits : stats->cache_misses);
     }
-  };
-  // Cache entries are keyed by the pinned epoch: a hot swap (ingest or
-  // model refresh) bumps the Db epoch, making every pre-swap completion
-  // unreachable to post-swap queries — and entries a pinned in-flight query
-  // writes under its OLD epoch are equally unreachable. Epoch 0 (frozen Db)
-  // keeps the historical keys bit for bit.
-  const std::shared_ptr<const EpochPin> pin = PinnedEpoch(ctx);
-  const uint64_t epoch = pin->epoch;
-  const Database& snapshot = *pin->data;
+    if (cached != nullptr) return cached;
+  }
+  RESTORE_ASSIGN_OR_RETURN(
+      Table joined, CompleteQueryJoin(tables, *primary, *pin->data, ctx));
+  auto result = std::make_shared<const Table>(std::move(joined));
+  if (cache_write) cache_.Put(key, result, pin->epoch);
+  return result;
+}
 
+Result<Table> Db::CompleteQueryJoin(const std::vector<std::string>& tables,
+                                    const std::string& primary,
+                                    const Database& snapshot,
+                                    const ExecContext* ctx) {
   // Single incomplete table: answer from the completed TABLE rather than a
   // completed path join — the path necessarily enters through a fan-out
   // (e.g. a link table), which would count each target tuple once per link.
-  if (tables.size() == 1 && annotation_.IsIncomplete(tables[0])) {
-    // Exact-match caching only: projecting a cached superset join would
-    // change tuple multiplicities.
-    const std::set<std::string> key{tables[0]};
-    if (cache_read) {
-      std::shared_ptr<const Table> cached = cache_.GetExact(key, epoch);
-      note_lookup(cached != nullptr);
-      if (cached != nullptr) return cached;
-    }
-    RESTORE_ASSIGN_OR_RETURN(Table completed, CompleteTable(tables[0], ctx));
-    completed.QualifyColumnNames(tables[0]);
-    auto result = std::make_shared<const Table>(std::move(completed));
-    if (cache_write) cache_.Put(key, result, epoch);
-    return result;
-  }
-  std::set<std::string> table_set(tables.begin(), tables.end());
-  if (cache_read) {
-    std::shared_ptr<const Table> cached =
-        cache_.GetCovering(table_set, epoch);
-    note_lookup(cached != nullptr);
-    if (cached != nullptr) return cached;
-  }
-
-  // Incomplete tables among the requested join.
-  std::vector<std::string> incomplete;
-  for (const auto& t : tables) {
-    if (annotation_.IsIncomplete(t)) incomplete.push_back(t);
-  }
-  if (incomplete.empty()) {
-    RESTORE_ASSIGN_OR_RETURN(Table joined,
-                             NaturalJoinTables(snapshot, tables, ctx));
-    return std::make_shared<const Table>(std::move(joined));
+  if (tables.size() == 1) {
+    RESTORE_ASSIGN_OR_RETURN(Table completed, CompleteTable(primary, ctx));
+    completed.QualifyColumnNames(primary);
+    return completed;
   }
 
   // Build the extended completion path: a completion path for the primary
@@ -700,12 +688,12 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
   // reweighting), so candidates are ranked first by how few off-query
   // fan-out hops they introduce, then by the configured selection strategy.
   RESTORE_ASSIGN_OR_RETURN(std::vector<std::string> selected,
-                           SelectedPathFor(incomplete[0], ctx));
+                           SelectedPathFor(primary, ctx));
   // The query-aware re-ranking below is selection work too (it can override
   // the cached per-table choice), so it lands in selection_seconds.
   Timer ranking_timer;
   RESTORE_ASSIGN_OR_RETURN(std::vector<Candidate> cands,
-                           CandidatesFor(incomplete[0], ctx));
+                           CandidatesFor(primary, ctx));
   auto fanout_penalty = [&](const std::vector<std::string>& p) {
     size_t penalty = 0;
     for (size_t k = 0; k + 1 < p.size(); ++k) {
@@ -725,7 +713,7 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
       path = cand.path;
     }
   }
-  if (stats != nullptr) {
+  if (ExecStats* stats = ctx != nullptr ? ctx->stats() : nullptr) {
     stats->selection_seconds += ranking_timer.ElapsedSeconds();
   }
   std::vector<std::string> extended = path;
@@ -770,12 +758,7 @@ Result<std::shared_ptr<const Table>> Db::CompletedJoinFor(
   RESTORE_ASSIGN_OR_RETURN(CompletionResult completion,
                            CompleteViaPath(extended, CompletionOptions(),
                                            ctx));
-  auto result = std::make_shared<const Table>(std::move(completion.joined));
-  if (cache_write) {
-    std::set<std::string> covered(extended.begin(), extended.end());
-    cache_.Put(covered, result, epoch);
-  }
-  return result;
+  return std::move(completion.joined);
 }
 
 Result<ResultSet> Db::ExecuteCompletedImpl(const Query& query,

@@ -318,8 +318,8 @@ class Db : public std::enable_shared_from_this<Db> {
   /// current snapshot, validates and applies every row, and publishes the
   /// new snapshot atomically — in-flight readers keep the old one and are
   /// never blocked; a validation failure publishes nothing. Completion-cache
-  /// entries of the old epoch become unreachable, per-path staleness
-  /// advances, and stale models are scheduled for background refresh per
+  /// entries of the old epoch stop matching and are dropped by the first
+  /// cache insert of the new one, per-path staleness advances, and stale models are scheduled for background refresh per
   /// the RefreshPolicy. Serialized against other writers.
   Status Append(const std::string& table,
                 const std::vector<std::vector<Value>>& rows);
@@ -348,7 +348,7 @@ class Db : public std::enable_shared_from_this<Db> {
   /// stats/equivalence.h): replaces every trained model with a copy whose
   /// parameters carry seeded Gaussian noise of standard deviation `stddev`,
   /// published like a hot swap (the epoch bumps, so completion-cache
-  /// entries of the intact models become unreachable). The harness proves
+  /// entries of the intact models stop matching). The harness proves
   /// its gate has teeth against exactly this deliberately broken Db.
   /// Never called by any serving path.
   Status PerturbModelsForTest(float stddev, uint64_t seed);
@@ -635,6 +635,12 @@ class Db : public std::enable_shared_from_this<Db> {
   /// hit/miss accounting into its stats.
   Result<std::shared_ptr<const Table>> CompletedJoinFor(
       const std::vector<std::string>& tables, const ExecContext* ctx);
+  /// Completes the join of `tables` (at least one incomplete, `primary` the
+  /// first) against `snapshot`, bypassing the cache.
+  Result<Table> CompleteQueryJoin(const std::vector<std::string>& tables,
+                                  const std::string& primary,
+                                  const Database& snapshot,
+                                  const ExecContext* ctx);
 
   /// Shared body of the two Execute entry points: runs plan -> completion
   /// -> aggregation under one ExecContext bound to `stats` (which already

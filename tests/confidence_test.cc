@@ -91,16 +91,6 @@ TEST(CompletionCacheTest, ExactHitAndMiss) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(CompletionCacheTest, CoveringPicksSmallestSuperset) {
-  CompletionCache cache;
-  cache.Put({"a", "b", "c", "d"}, MakeJoined("abcd", 4));
-  cache.Put({"a", "b", "c"}, MakeJoined("abc", 3));
-  std::shared_ptr<const Table> hit = cache.GetCovering({"a", "b"});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->name(), "abc");  // smaller superset wins
-  EXPECT_EQ(cache.GetCovering({"a", "z"}), nullptr);
-}
-
 TEST(CompletionCacheTest, PutOverwritesSameKey) {
   CompletionCache cache;
   cache.Put({"a"}, MakeJoined("v1", 1));

@@ -255,65 +255,6 @@ TEST(CompletionCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   EXPECT_EQ(unbounded.evictions(), 0u);
 }
 
-TEST(CompletionCacheTest, CoveringLookupServedByPerTableIndex) {
-  auto make_table = [](const std::string& name, size_t rows) {
-    Table t(name);
-    Column c("x", ColumnType::kInt64);
-    for (size_t r = 0; r < rows; ++r) c.AppendInt64(static_cast<int64_t>(r));
-    EXPECT_TRUE(t.AddColumn(std::move(c)).ok());
-    return t;
-  };
-  CompletionCache cache;
-  cache.Put({"a"}, make_table("only_a", 10));
-  cache.Put({"a", "b"}, make_table("ab", 10));
-  cache.Put({"a", "b", "c"}, make_table("abc", 10));
-  cache.Put({"d"}, make_table("only_d", 10));
-
-  // Exact-set and smallest-superset hits.
-  auto ab = cache.GetCovering({"a", "b"});
-  ASSERT_NE(ab, nullptr);
-  EXPECT_EQ(ab->name(), "ab");
-  auto b = cache.GetCovering({"b"});
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->name(), "ab") << "smallest superset of {b} is {a,b}";
-  auto c = cache.GetCovering({"c"});
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->name(), "abc");
-  auto a = cache.GetCovering({"a"});
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->name(), "only_a");
-
-  // A query table no cached entry contains short-circuits to a miss — the
-  // index rules it out without scanning any shard.
-  const size_t misses_before = cache.misses();
-  EXPECT_EQ(cache.GetCovering({"a", "nope"}), nullptr);
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-
-  // Table names that are substrings of cached table names must not match
-  // (the index is exact, and key segments are compared whole).
-  EXPECT_EQ(cache.GetCovering({"only"}), nullptr);
-
-  // Clear() drops the index along with the entries.
-  cache.Clear();
-  EXPECT_EQ(cache.GetCovering({"a"}), nullptr);
-
-  // Eviction unindexes the victim: with a one-shard budget sized for two
-  // entries, inserting a third evicts the LRU, and covering lookups for its
-  // tables stop finding it.
-  const size_t entry_bytes =
-      CompletionCache::ApproxTableBytes(make_table("t", 100));
-  CompletionCache lru(/*budget_bytes=*/2 * entry_bytes + entry_bytes / 2,
-                      /*num_shards=*/1);
-  lru.Put({"x"}, make_table("x", 100));
-  lru.Put({"y"}, make_table("y", 100));
-  EXPECT_NE(lru.GetCovering({"x"}), nullptr);  // bump x; y becomes LRU
-  lru.Put({"z"}, make_table("z", 100));
-  EXPECT_EQ(lru.evictions(), 1u);
-  EXPECT_EQ(lru.GetCovering({"y"}), nullptr);
-  EXPECT_NE(lru.GetCovering({"x"}), nullptr);
-  EXPECT_NE(lru.GetCovering({"z"}), nullptr);
-}
-
 TEST(DbTest, CacheBudgetIsWiredThroughEngineConfig) {
   EngineConfig config = FastConfig();
   config.cache_budget_bytes = 123456;

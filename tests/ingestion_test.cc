@@ -182,7 +182,7 @@ TEST(IngestionTest, UpdateTableReplacesWholeRelation) {
 
 TEST(IngestionTest, FrozenDbStaysBitIdenticalAndAtEpochZero) {
   // No Append ever happens: the Db must behave exactly like the frozen
-  // engine — epoch pinned at 0 (legacy cache keys) and answers a pure
+  // engine — epoch pinned at 0 (no cache sweep ever runs) and answers a pure
   // function of (data, config, seed), reproduced by an identical twin.
   Database a = MakeIncompleteSynthetic(507);
   Database b = MakeIncompleteSynthetic(507);
